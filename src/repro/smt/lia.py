@@ -16,6 +16,13 @@ The algorithm is Pugh's Omega test:
 * models are rebuilt by back-substitution through the elimination
   order.
 
+Every working constraint carries the set of input constraints it was
+derived from (a bitmask over their positions), through substitution,
+GCD normalisation, the shadows and the splinters, so an UNSAT answer
+comes with a *core*: a subset of the input that is UNSAT on its own.
+The DPLL(T) layer turns cores into theory conflicts and uses them to
+justify the equalities it propagates to EUF.
+
 Constraints are in normal form ``sum(coeff * var) + const <= 0`` /
 ``= 0`` / ``!= 0``, with variables being arbitrary hashable keys (the
 DPLL(T) layer uses purified SMT terms).
@@ -79,17 +86,34 @@ class Constraint:
 
 
 class LiaResult:
-    """Outcome of a LIA check: SAT with a model, or UNSAT."""
+    """Outcome of a LIA check: SAT with a model, or UNSAT with a core.
 
-    def __init__(self, sat: bool, model: dict[Var, int] | None = None):
+    ``core`` is a subset of the input constraints that is UNSAT on its
+    own; internally, ``mask`` holds it as bits over input positions.
+    """
+
+    def __init__(
+        self, sat: bool, model: dict[Var, int] | None = None, mask: int = 0
+    ):
         self.sat = sat
         self.model = model or {}
+        self.mask = mask
+        self.core: tuple[Constraint, ...] = ()
 
     def __bool__(self) -> bool:
         return self.sat
 
 
 _SPLINTER_LIMIT = 4096  # safety valve on splinter enumeration
+
+
+class SplinterLimit(budget.BudgetExceeded):
+    """Splinter enumeration hit :data:`_SPLINTER_LIMIT` without a model.
+
+    The search was cut off, so the system is undecided, not UNSAT.  As
+    a :class:`~repro.smt.budget.BudgetExceeded` it ends the query as
+    UNKNOWN, exactly like an exhausted time budget.
+    """
 
 
 def _gcd_all(values: Iterable[int]) -> int:
@@ -174,51 +198,50 @@ class _BoundSubst(_Subst):
             model[self.var] = candidate
 
 
-_solve_cache: dict[frozenset, LiaResult] = {}
-_SOLVE_CACHE_LIMIT = 200_000
+#: a working constraint and the input positions it was derived from
+_Tracked = tuple[Constraint, int]
 
 
 def solve(constraints: list[Constraint]) -> LiaResult:
-    """Decide a conjunction of LIA constraints, producing a model if SAT.
-
-    Results are memoised: the DPLL(T) loop, conflict minimisation, and
-    equality probing repeatedly decide overlapping systems.
-    """
-    key = frozenset(constraints)
-    cached = _solve_cache.get(key)
-    if cached is not None:
-        return cached
-    eqs = [c for c in constraints if c.rel == EQ]
-    les = [c for c in constraints if c.rel == LE]
-    nes = [c for c in constraints if c.rel == NE]
-    result = _solve_with_ne(eqs, les, nes)
-    if len(_solve_cache) >= _SOLVE_CACHE_LIMIT:
-        _solve_cache.clear()
-    _solve_cache[key] = result
+    """Decide a conjunction of LIA constraints: a model if SAT, else a core."""
+    parts: dict[str, list[_Tracked]] = {EQ: [], LE: [], NE: []}
+    for i, c in enumerate(constraints):
+        parts[c.rel].append((c, 1 << i))
+    result = _solve_with_ne(parts[EQ], parts[LE], parts[NE])
+    if not result:
+        mask = result.mask
+        result.core = tuple(
+            c for i, c in enumerate(constraints) if mask >> i & 1
+        )
     return result
 
 
 def _solve_with_ne(
-    eqs: list[Constraint], les: list[Constraint], nes: list[Constraint]
+    eqs: list[_Tracked], les: list[_Tracked], nes: list[_Tracked]
 ) -> LiaResult:
     if not nes:
         return _solve_eq_le(eqs, les)
-    head, rest = nes[0], nes[1:]
+    (head, bit), rest = nes[0], nes[1:]
     # expr != 0 splits into expr <= -1 or expr >= 1.
     left = Constraint(head.coeffs, head.const + 1, LE)
-    result = _solve_with_ne(eqs, les + [left], rest)
-    if result:
+    result = _solve_with_ne(eqs, les + [(left, bit)], rest)
+    # A left core that never used the split refutes the whole system:
+    # backjump over the right branch.
+    if result or not result.mask & bit:
         return result
     negated = tuple((v, -c) for v, c in head.coeffs)
     right = Constraint(negated, -head.const + 1, LE)
-    return _solve_with_ne(eqs, les + [right], rest)
+    right_result = _solve_with_ne(eqs, les + [(right, bit)], rest)
+    if right_result or not right_result.mask & bit:
+        return right_result
+    return LiaResult(False, mask=result.mask | right_result.mask)
 
 
-def _solve_eq_le(eqs: list[Constraint], les: list[Constraint]) -> LiaResult:
+def _solve_eq_le(eqs: list[_Tracked], les: list[_Tracked]) -> LiaResult:
     subs: list[_Subst] = []
     result = _eliminate(eqs, les, subs)
     if not result:
-        return LiaResult(False)
+        return result
     model = dict(result.model)
     for step in reversed(subs):
         step.apply(model)
@@ -239,22 +262,22 @@ def _normalize_le(c: Constraint) -> Constraint | None:
 
 
 def _eliminate(
-    eqs: list[Constraint], les: list[Constraint], subs: list[_Subst]
+    eqs: list[_Tracked], les: list[_Tracked], subs: list[_Subst]
 ) -> LiaResult:
     budget.checkpoint()
     # --- equality elimination ---------------------------------------------
     eqs = list(eqs)
     les = list(les)
     while eqs:
-        eq = eqs.pop()
+        eq, mask = eqs.pop()
         expr = eq.expr()
         if not expr:
             if eq.const != 0:
-                return LiaResult(False)
+                return LiaResult(False, mask=mask)
             continue
         g = _gcd_all(expr.values())
         if eq.const % g != 0:
-            return LiaResult(False)
+            return LiaResult(False, mask=mask)
         if g > 1:
             expr = {v: c // g for v, c in expr.items()}
             eq = Constraint.make(expr, eq.const // g, EQ)
@@ -265,8 +288,8 @@ def _eliminate(
             coeffs = {v: -c // a for v, c in expr.items() if v is not unit}
             const = -eq.const // a
             subs.append(_EqSubst(unit, coeffs, const))
-            eqs = [_substitute(c, unit, coeffs, const) for c in eqs]
-            les = [_substitute(c, unit, coeffs, const) for c in les]
+            eqs = [_substitute(c, unit, coeffs, const, mask) for c in eqs]
+            les = [_substitute(c, unit, coeffs, const, mask) for c in les]
             continue
         # Pugh's symmetric-modulus elimination for non-unit coefficients.
         k = min(expr, key=lambda v: abs(expr[v]))
@@ -282,36 +305,41 @@ def _eliminate(
         coeffs[sigma] = -sign * m
         const = sign * hat_const
         subs.append(_EqSubst(k, coeffs, const))
-        eqs = [_substitute(c, k, coeffs, const) for c in eqs]
-        les = [_substitute(c, k, coeffs, const) for c in les]
-        eqs.append(_substitute(eq, k, coeffs, const))
+        eqs = [_substitute(c, k, coeffs, const, mask) for c in eqs]
+        les = [_substitute(c, k, coeffs, const, mask) for c in les]
+        eqs.append(_substitute((eq, mask), k, coeffs, const, mask))
     # --- inequality elimination ---------------------------------------------
     return _eliminate_ineqs(les, subs)
 
 
-def _substitute(c: Constraint, var: Var, coeffs: LinExpr, const: int) -> Constraint:
+def _substitute(
+    item: _Tracked, var: Var, coeffs: LinExpr, const: int, mask: int
+) -> _Tracked:
+    """Replace ``var`` by ``coeffs + const``, an equality derived from ``mask``."""
+    c, origin = item
     expr = c.expr()
     factor = expr.pop(var, 0)
     if factor == 0:
-        return c
+        return item
     for v, k in coeffs.items():
         expr[v] = expr.get(v, 0) + factor * k
-    return Constraint.make(expr, c.const + factor * const, c.rel)
+    return Constraint.make(expr, c.const + factor * const, c.rel), origin | mask
 
 
-def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
-    # Normalise, drop tautologies, detect ground contradictions.
-    work: list[Constraint] = []
-    for c in les:
+def _eliminate_ineqs(les: list[_Tracked], subs: list[_Subst]) -> LiaResult:
+    # Normalise, drop tautologies, detect ground contradictions.  A
+    # duplicate keeps the first derivation's origin; either justifies it.
+    origin: dict[Constraint, int] = {}
+    for c, mask in les:
         c2 = _normalize_le(c)
         if c2 is None:
             continue
         if not c2.coeffs:
             if c2.const > 0:
-                return LiaResult(False)
+                return LiaResult(False, mask=mask)
             continue
-        work.append(c2)
-    work = list(dict.fromkeys(work))
+        origin.setdefault(c2, mask)
+    work = list(origin)
     if not work:
         return LiaResult(True, {})
 
@@ -332,16 +360,20 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
 
     lowers: list[tuple[int, LinExpr, int]] = []  # (b, rest, const): -b*x + rest + const <= 0
     uppers: list[tuple[int, LinExpr, int]] = []  # (a, rest, const): a*x + rest + const <= 0
-    others: list[Constraint] = []
+    lower_masks: list[int] = []
+    upper_masks: list[int] = []
+    others: list[_Tracked] = []
     for c in work:
         expr = c.expr()
         a = expr.pop(var, 0)
         if a == 0:
-            others.append(c)
+            others.append((c, origin[c]))
         elif a > 0:
             uppers.append((a, expr, c.const))
+            upper_masks.append(origin[c])
         else:
             lowers.append((-a, expr, c.const))
+            lower_masks.append(origin[c])
 
     if not lowers or not uppers:
         # Unbounded in one direction: any consistent assignment extends.
@@ -349,10 +381,10 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
         return _eliminate_ineqs(others, subs)
 
     exact = all(a == 1 for a, _, _ in uppers) or all(b == 1 for b, _, _ in lowers)
-    shadow: list[Constraint] = list(others)
-    dark: list[Constraint] = list(others)
-    for a, ru, cu in uppers:
-        for b, rl, cl in lowers:
+    shadow: list[_Tracked] = list(others)
+    dark: list[_Tracked] = list(others)
+    for (a, ru, cu), mu in zip(uppers, upper_masks):
+        for (b, rl, cl), ml in zip(lowers, lower_masks):
             # From a*x <= -(ru+cu) and b*x >= (rl+cl) ... combine:
             expr: LinExpr = {}
             for v, k in ru.items():
@@ -360,8 +392,10 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
             for v, k in rl.items():
                 expr[v] = expr.get(v, 0) + a * k
             const = b * cu + a * cl
-            shadow.append(Constraint.make(expr, const, LE))
-            dark.append(Constraint.make(dict(expr), const + (a - 1) * (b - 1), LE))
+            shadow.append((Constraint.make(expr, const, LE), mu | ml))
+            dark.append(
+                (Constraint.make(dict(expr), const + (a - 1) * (b - 1), LE), mu | ml)
+            )
 
     if exact:
         subs.append(_BoundSubst(var, lowers, uppers))
@@ -378,25 +412,37 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
 
     real_result = _eliminate_ineqs(shadow, list(subs))
     if not real_result:
-        return LiaResult(False)
+        return real_result
 
     # Splinters: the real shadow is satisfiable but the dark shadow is not.
+    # Every integer solution satisfies the dark shadow or one splinter
+    # (Pugh), a case split justified by var's bounds; so the core is the
+    # bounds plus the dark shadow's core plus every splinter's core.
+    mask = dark_result.mask
+    for m in lower_masks + upper_masks:
+        mask |= m
+    tracked_work = [(c, origin[c]) for c in work]
+    truncated = False
     a_max = max(a for a, _, _ in uppers)
     for b, rl, cl in lowers:
         limit = (a_max * b - a_max - b) // a_max
         if limit > _SPLINTER_LIMIT:
             limit = _SPLINTER_LIMIT
+            truncated = True
         for i in range(limit + 1):
             # b*x = (rl + cl) + i   i.e.  b*x - rl - cl - i = 0
             expr = {v: -k for v, k in rl.items()}
             expr[var] = expr.get(var, 0) + b
             eq = Constraint.make(expr, -cl - i, EQ)
             trial_subs: list[_Subst] = list(subs)
-            result = _eliminate([eq], work, trial_subs)
+            result = _eliminate([(eq, 0)], tracked_work, trial_subs)
             if result:
                 subs[:] = trial_subs
                 return result
-    return LiaResult(False)
+            mask |= result.mask
+    if truncated:
+        raise SplinterLimit()
+    return LiaResult(False, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +454,22 @@ def is_consistent(constraints: list[Constraint]) -> bool:
     return bool(solve(constraints))
 
 
-def entails_eq(constraints: list[Constraint], x: Var, y: Var) -> bool:
-    """Do the constraints force ``x == y``?"""
+def entails_eq(
+    constraints: list[Constraint], x: Var, y: Var
+) -> tuple[Constraint, ...] | None:
+    """Do the constraints force ``x == y``?  If so, which of them do.
+
+    Returns None when they do not; otherwise the constraints of the two
+    refuted probes' cores (``x < y`` and ``x > y``), the probes removed.
+    """
     lt = Constraint.make({x: 1, y: -1}, 1, LE)  # x - y <= -1
+    below = solve(constraints + [lt])
+    if below:
+        return None
     gt = Constraint.make({x: -1, y: 1}, 1, LE)  # y - x <= -1
-    return not solve(constraints + [lt]) and not solve(constraints + [gt])
+    above = solve(constraints + [gt])
+    if above:
+        return None
+    return tuple(
+        dict.fromkeys(c for c in below.core + above.core if c != lt and c != gt)
+    )

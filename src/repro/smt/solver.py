@@ -10,7 +10,9 @@ plays in the paper.  The architecture is the classic *lazy* SMT loop:
    triggered by the assignment (Section 6.2); if it produced new
    clauses, go to 2.
 4. Check the assignment's theory literals with EUF+LIA.  On conflict,
-   add the (minimised) blocking clause and go to 2.
+   add the blocking clause of the conflict core -- the literals the
+   engines' explanations name (see :mod:`repro.smt.theory`) -- and go
+   to 2.
 5. On theory success, validate the candidate model against the
    original assertions; block the assignment if validation fails
    (guards against combination incompleteness), otherwise report SAT.

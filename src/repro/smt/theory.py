@@ -13,6 +13,15 @@ arithmetic.  Combination follows a light-weight Nelson-Oppen scheme:
 3. a combined model is assembled from the LIA model and the EUF
    classes.
 
+A conflict comes from the engine that found it.  EUF explains a clash
+by the literals on its proof-forest path (:meth:`EufSolver.explain`),
+LIA by the core of its UNSAT answer; an equality one theory handed the
+other carries the same kind of reason -- EUF's explanation of the
+congruence, or the two entailment probes' cores -- so the conflict is
+the set of input literals reached by expanding reasons (:func:`_core`).
+It is inconsistent on its own and usually far smaller than the
+assignment, which keeps the solver's blocking clauses short.
+
 LIA is non-convex, so entailment probing can in principle miss a
 disjunction of equalities; the solver driver guards against this by
 validating candidate models against the original assertions and
@@ -103,66 +112,63 @@ def _diff_constraint(a: Term, b: Term, rel: str, vars_out: set[Term]) -> lia.Con
 
 
 class _Separation:
-    """Literals split into their EUF and LIA parts."""
+    """Literals split into their EUF and LIA parts.
+
+    Each LIA constraint keeps the literal it came from (``lia_literals``
+    runs parallel to ``lia_constraints``); EUF literals are fed to the
+    closure with themselves as the reason (:meth:`assert_into`).
+    """
 
     def __init__(self, literals: list[Literal]):
-        self.euf_eqs: list[tuple[Term, Term]] = []
-        self.euf_nes: list[tuple[Term, Term]] = []
-        self.preds: list[tuple[Term, bool]] = []
+        self.euf_eqs: list[Literal] = []
+        self.euf_nes: list[Literal] = []
+        self.preds: list[Literal] = []
         self.lia_constraints: list[lia.Constraint] = []
+        self.lia_literals: list[Literal] = []
         self.shared: set[Term] = set()
-        for atom, value in literals:
+        for lit in literals:
+            atom, value = lit
             if atom.kind == tm.LE:
                 a, b = atom.args
                 if value:
-                    self.lia_constraints.append(
-                        _diff_constraint(a, b, lia.LE, self.shared)
-                    )
+                    c = _diff_constraint(a, b, lia.LE, self.shared)
                 else:  # not (a <= b)  ==  b + 1 <= a  ==  b - a + 1 <= 0
                     c = _diff_constraint(b, a, lia.LE, self.shared)
-                    self.lia_constraints.append(
-                        lia.Constraint(c.coeffs, c.const + 1, lia.LE)
-                    )
-            elif atom.kind == tm.EQ:
+                    c = lia.Constraint(c.coeffs, c.const + 1, lia.LE)
+            elif atom.kind == tm.EQ and atom.args[0].sort == INT:
                 a, b = atom.args
-                if a.sort == INT:
-                    rel = lia.EQ if value else lia.NE
-                    self.lia_constraints.append(
-                        _diff_constraint(a, b, rel, self.shared)
-                    )
-                else:
-                    (self.euf_eqs if value else self.euf_nes).append((a, b))
+                rel = lia.EQ if value else lia.NE
+                c = _diff_constraint(a, b, rel, self.shared)
+            elif atom.kind == tm.EQ:
+                (self.euf_eqs if value else self.euf_nes).append(lit)
+                continue
             else:
                 # Boolean VAR or APP: an EUF predicate atom.
-                self.preds.append((atom, value))
+                self.preds.append(lit)
+                continue
+            self.lia_constraints.append(c)
+            self.lia_literals.append(lit)
+
+    def assert_into(self, euf: EufSolver) -> None:
+        for lit in self.euf_eqs:
+            euf.assert_eq(*lit[0].args, lit)
+        for lit in self.euf_nes:
+            euf.assert_ne(*lit[0].args, lit)
+        for lit in self.preds:
+            euf.assert_pred(*lit, lit)
+        # Register shared integer terms so congruence can reach them.
+        for t in self.shared:
+            euf.find(t)
 
 
 def check_literals(literals: list[Literal]) -> TheoryCheck:
-    """Decide a conjunction of theory literals; model or minimised conflict."""
-    consistent, model = _check_once(literals)
-    if consistent:
-        return TheoryCheck(True, model=model)
-    core = _minimize_conflict(literals)
-    return TheoryCheck(False, conflict=core)
-
-
-_MINIMIZE_LIMIT = 120  # deletion tests per conflict; larger cores stay coarse
-
-
-def _minimize_conflict(literals: list[Literal]) -> list[Literal]:
-    """Deletion-based minimisation of an inconsistent literal set."""
-    core = list(literals)
-    i = 0
-    budget = _MINIMIZE_LIMIT
-    while i < len(core) and budget > 0:
-        budget -= 1
-        trial = core[:i] + core[i + 1 :]
-        ok, _ = _check_once(trial)
-        if not ok:
-            core = trial
-        else:
-            i += 1
-    return core
+    """Decide a conjunction of theory literals: a model or a conflict core."""
+    sep = _Separation(literals)
+    euf = EufSolver()
+    sep.assert_into(euf)
+    return _combine(
+        euf, sep.lia_constraints, sep.lia_literals, sep.shared, literals
+    )
 
 
 def _iface_candidates(atom: Term) -> tuple[Term, ...]:
@@ -202,44 +208,46 @@ def _interface_terms(literals: list[Literal], shared: set[Term]) -> list[Term]:
     return sorted(out, key=lambda t: t._id)
 
 
-def _check_once(literals: list[Literal]) -> tuple[bool, TheoryModel | None]:
-    sep = _Separation(literals)
-    euf = EufSolver()
-    for a, b in sep.euf_eqs:
-        euf.assert_eq(a, b)
-    for a, b in sep.euf_nes:
-        euf.assert_ne(a, b)
-    for atom, value in sep.preds:
-        euf.assert_pred(atom, value)
-    # Register shared integer terms so congruence can reach them.
-    for t in sep.shared:
-        euf.find(t)
-    return _combine(euf, sep.lia_constraints, sep.shared, literals)
-
-
 def _combine(
     euf: EufSolver,
     lia_constraints: list[lia.Constraint],
+    lia_literals: list[Literal],
     shared_set: set[Term],
     literals: list[Literal],
-) -> tuple[bool, TheoryModel | None]:
+) -> TheoryCheck:
     """Nelson-Oppen fixpoint + model assembly over a primed EUF engine.
 
     ``euf`` must already hold the literal set's equalities, disequalities
-    and predicate assertions, with every shared term registered; the
-    fixpoint then only exchanges equalities between the theories.  The
-    caller owns the engine, so a persistent (undoable) instance can roll
-    the exchange back afterwards.
+    and predicate assertions, each with its literal as the reason, and
+    every shared term registered; ``lia_literals[i]`` is the literal
+    ``lia_constraints[i]`` came from.  The fixpoint then only exchanges
+    equalities between the theories, each with its reason, so a
+    conflict is explained by the engine that found it.  The caller owns
+    the engine, so a persistent (undoable) instance can roll the
+    exchange back afterwards.
     """
     constraints = list(lia_constraints)
+    #: EUF -> LIA equalities: constraint -> the congruent pair it equates
+    handed: dict[lia.Constraint, tuple[Term, Term]] = {}
     shared = sorted(shared_set, key=lambda t: t._id)
     probe_terms = _interface_terms(literals, shared_set)
     known_eq: set[tuple[Term, Term]] = set()
     result = lia.LiaResult(True)
 
+    def conflict(reasons) -> TheoryCheck:
+        origin: dict = {}
+        for c, lit in zip(lia_constraints, lia_literals):
+            origin.setdefault(c, lit)
+        for c, pair in handed.items():
+            origin.setdefault(c, pair)
+        core = _core(euf, reasons, origin)
+        return TheoryCheck(
+            False, conflict=[lit for lit in literals if lit in core]
+        )
+
     for _ in range(len(probe_terms) * len(probe_terms) + 2):
         if not euf.check():
-            return False, None
+            return conflict(euf.conflict())
         # EUF -> LIA: congruent shared terms are numerically equal.
         changed = False
         for a, b in itertools.combinations(shared, 2):
@@ -247,31 +255,32 @@ def _combine(
                 continue
             if euf.find(a) is euf.find(b):
                 known_eq.add((a, b))
-                constraints.append(
-                    lia.Constraint.make({a: 1, b: -1}, 0, lia.EQ)
-                )
+                c = lia.Constraint.make({a: 1, b: -1}, 0, lia.EQ)
+                constraints.append(c)
+                handed.setdefault(c, (a, b))
                 changed = True
         result = lia.solve(constraints)
         if not result:
-            return False, None
+            return conflict(result.core)
         # LIA -> EUF: entailed equalities, but only over terms whose
         # equality EUF could actually exploit (congruence interfaces).
         for a, b in itertools.combinations(probe_terms, 2):
             if (a, b) in known_eq:
                 continue
-            if lia.entails_eq(constraints, a, b):
+            why = lia.entails_eq(constraints, a, b)
+            if why is not None:
                 known_eq.add((a, b))
-                euf.assert_eq(a, b)
+                euf.assert_eq(a, b, frozenset(why))
                 changed = True
         if not changed:
             break
     else:
         result = lia.solve(constraints)
         if not result:
-            return False, None
+            return conflict(result.core)
 
     if not euf.check():
-        return False, None
+        return conflict(euf.conflict())
 
     # --- model assembly ----------------------------------------------------
     model = TheoryModel()
@@ -289,7 +298,35 @@ def _combine(
             model.obj_class[m] = cid
     for atom, value in literals:
         model.atom_values[atom] = value
-    return True, model
+    return TheoryCheck(True, model=model)
+
+
+def _core(euf: EufSolver, reasons, origin: dict) -> set[Literal]:
+    """Expand the engines' reasons into the input literals behind them.
+
+    A reason is an input literal; a LIA constraint, looked up in
+    ``origin`` (the literal it came from, or the EUF-congruent pair of
+    terms it equates, which EUF explains); or a frozenset of LIA
+    constraints, the core behind an equality LIA entailed for EUF.
+    Every derived fact was derived after its reasons, so this ends.
+    """
+    core: set[Literal] = set()
+    seen: set = set()
+    todo = list(reasons)
+    while todo:
+        reason = todo.pop()
+        if reason in seen:
+            continue
+        seen.add(reason)
+        if isinstance(reason, lia.Constraint):
+            todo.append(origin[reason])
+        elif isinstance(reason, frozenset):
+            todo.extend(reason)
+        elif type(reason[1]) is bool:
+            core.add(reason)
+        else:
+            todo.extend(euf.explain(*reason))
+    return core
 
 
 class _StackEntry:
@@ -323,26 +360,27 @@ class TheoryContext:
     Verdicts match :func:`check_literals` (the closure is
     order-independent and the exchange runs on identical data); model
     *representatives* may differ, which is fine because callers only use
-    models semantically.  Conflicts are minimised by the stateless path.
+    models semantically.  A conflict is explained by the live engines,
+    just as :func:`check_literals` explains its own: the closure's proof
+    edges are undone with the rest of its state.
     """
 
     def __init__(self) -> None:
         self._euf = EufSolver(undoable=True)
         self._stack: list[_StackEntry] = []
         self._lia: list[lia.Constraint] = []
+        #: parallel to ``_lia``: the literal each constraint came from
+        self._lia_literals: list[Literal] = []
         self._shared: dict[Term, int] = {}
         self._fix_mark: tuple[int, int] | None = None
 
     def check(self, literals: list[Literal]) -> TheoryCheck:
         self._sync(literals)
         self._fix_mark = self._euf.mark()
-        consistent, model = _combine(
-            self._euf, self._lia, set(self._shared), literals
+        return _combine(
+            self._euf, self._lia, self._lia_literals, set(self._shared),
+            literals,
         )
-        if consistent:
-            return TheoryCheck(True, model=model)
-        core = _minimize_conflict(literals)
-        return TheoryCheck(False, conflict=core)
 
     def _sync(self, literals: list[Literal]) -> None:
         euf = self._euf
@@ -362,6 +400,7 @@ class TheoryContext:
             entry = stack.pop()
             euf.undo_to(entry.mark)
             del self._lia[entry.n_lia :]
+            del self._lia_literals[entry.n_lia :]
             for t in entry.shared:
                 count = self._shared[t] - 1
                 if count:
@@ -377,19 +416,13 @@ class TheoryContext:
             lit[0], lit[1], euf.mark(), len(self._lia), ()
         )
         sep = _Separation([lit])
-        for a, b in sep.euf_eqs:
-            euf.assert_eq(a, b)
-        for a, b in sep.euf_nes:
-            euf.assert_ne(a, b)
-        for atom, value in sep.preds:
-            euf.assert_pred(atom, value)
-        for t in sep.shared:
-            euf.find(t)
+        sep.assert_into(euf)
         # Settle now so this literal's closure work sits below the next
         # literal's mark and survives later pops of deeper entries.
         euf._settle()
         if sep.lia_constraints:
             self._lia.extend(sep.lia_constraints)
+            self._lia_literals.extend(sep.lia_literals)
         if sep.shared:
             entry.shared = tuple(sep.shared)
             for t in sep.shared:

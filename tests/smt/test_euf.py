@@ -1,5 +1,7 @@
 """Unit tests for congruence closure."""
 
+import pytest
+
 from repro.smt import terms as tm
 from repro.smt.euf import EufSolver
 from repro.smt.sorts import BOOL, INT, OBJ
@@ -130,3 +132,96 @@ def test_int_valued_functions():
     e.assert_eq(t1, t2)
     assert e.check()
     assert e.congruent(h1, h2)
+
+
+# -- explanations ---------------------------------------------------------
+
+
+def test_explain_transitive_chain():
+    e = EufSolver()
+    a, b, c, d, z = (obj(n) for n in "abcdz")
+    e.assert_eq(a, b, "ab")
+    e.assert_eq(b, c, "bc")
+    e.assert_eq(c, d, "cd")
+    e.assert_eq(d, z, "dz")
+    assert e.check()
+    assert e.explain(a, d) == {"ab", "bc", "cd"}
+    assert e.explain(c, b) == {"bc"}
+    assert e.explain(a, a) == set()
+
+
+def test_explain_nested_congruence_ackermann():
+    # f(f(f(a))) = a, f(f(f(f(f(a))))) = a |= f(a) = a, and both
+    # equations are needed; the unrelated b = c is not.
+    f = fun("f", 1)
+    e = EufSolver()
+    a, b, c = obj("a"), obj("b"), obj("c")
+
+    def fn(t, n):
+        for _ in range(n):
+            t = tm.mk_app(f, [t])
+        return t
+
+    e.assert_eq(fn(a, 3), a, "f3")
+    e.assert_eq(b, c, "bc")
+    e.assert_eq(fn(a, 5), a, "f5")
+    e.assert_ne(fn(a, 1), a, "ne")
+    assert not e.check()
+    assert e.explain(fn(a, 1), a) == {"f3", "f5"}
+    assert e.conflict() == {"f3", "f5", "ne"}
+
+
+def test_explain_predicate_clash_through_true_false():
+    p = tm.FunSym("p", [OBJ], BOOL)
+    e = EufSolver()
+    a, b, c = obj("a"), obj("b"), obj("c")
+    e.assert_pred(tm.mk_app(p, [a]), True, "pa")
+    e.assert_pred(tm.mk_app(p, [c]), True, "pc")
+    e.assert_pred(tm.mk_app(p, [b]), False, "not pb")
+    e.assert_eq(a, b, "ab")
+    assert not e.check()
+    assert e.conflict() == {"pa", "not pb", "ab"}
+
+
+def test_explain_disequality_conflict_cites_the_disequality():
+    g = fun("g", 2)
+    e = EufSolver()
+    a, b, c, d = obj("a"), obj("b"), obj("c"), obj("d")
+    e.assert_eq(a, c, "ac")
+    e.assert_ne(a, d, "unrelated")
+    e.assert_eq(b, d, "bd")
+    e.assert_ne(tm.mk_app(g, [a, b]), tm.mk_app(g, [c, d]), "ne")
+    assert not e.check()
+    assert e.conflict() == {"ac", "bd", "ne"}
+
+
+def test_explain_after_undo_drops_retracted_reasons():
+    f = fun("f", 1)
+    e = EufSolver(undoable=True)
+    a, b, c = obj("a"), obj("b"), obj("c")
+    fa, fc = tm.mk_app(f, [a]), tm.mk_app(f, [c])
+    e.assert_eq(a, b, "ab")
+    e._settle()
+    mark = e.mark()
+    e.assert_eq(b, c, "bc")
+    e.assert_ne(fa, fc, "ne")
+    assert not e.check()
+    assert e.conflict() == {"ab", "bc", "ne"}
+    e.undo_to(mark)
+    # a and c are now equal for a different reason.
+    e.assert_eq(a, obj("m"), "am")
+    e.assert_eq(obj("m"), c, "mc")
+    e.assert_ne(fa, fc, "ne2")
+    assert not e.check()
+    assert e.conflict() == {"am", "mc", "ne2"}
+    assert e.explain(a, b) == {"ab"}
+
+
+def test_explain_rejects_terms_that_are_not_equal():
+    e = EufSolver()
+    a, b, c = obj("a"), obj("b"), obj("c")
+    e.assert_eq(a, b, "ab")
+    e.find(c)
+    assert e.check()
+    with pytest.raises(ValueError):
+        e.explain(a, c)

@@ -1,6 +1,9 @@
 """Unit tests for the Omega-test LIA solver."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -172,6 +175,113 @@ def test_entails_eq_via_bounds():
     # x <= y and y <= x entails x = y.
     cons = [c({"x": 1, "y": -1}, 0), c({"y": 1, "x": -1}, 0)]
     assert lia.entails_eq(cons, "x", "y")
+
+
+def test_entails_eq_names_the_constraints_that_force_it():
+    # x <= y and y <= x force x = y; the bound on z plays no part.
+    forcing = [c({"x": 1, "y": -1}, 0), c({"y": 1, "x": -1}, 0)]
+    idle = c({"z": 1}, -4)
+    why = lia.entails_eq(forcing + [idle], "x", "y")
+    assert set(why) == set(forcing)
+
+
+def assert_core(constraints):
+    """The UNSAT answer's core is a subset of the input, UNSAT alone."""
+    result = lia.solve(constraints)
+    assert not result
+    assert set(result.core) <= set(constraints)
+    assert not lia.solve(list(result.core))
+    return result.core
+
+
+def test_core_drops_unrelated_constraints():
+    # x <= 2 and x >= 3 clash; y and z are bystanders.
+    clash = [c({"x": 1}, -2), c({"x": -1}, 3)]
+    bystanders = [c({"y": 1, "z": -1}, 0), c({"z": 1}, -9, NE)]
+    core = assert_core(bystanders[:1] + clash + bystanders[1:])
+    assert set(core) == set(clash)
+
+
+def test_core_through_equality_substitution():
+    # x = y + 1, y = 2, x <= 2: every step of the chain is in the core.
+    chain = [c({"x": 1, "y": -1}, -1, EQ), c({"y": 1}, -2, EQ), c({"x": 1}, -2)]
+    core = assert_core(chain + [c({"z": 1}, 0)])
+    assert set(core) == set(chain)
+
+
+def test_core_through_splinters():
+    # Pugh's example: 27 <= 11x + 13y <= 45 and -10 <= 7x - 9y <= 4 have
+    # real but no integer solutions; the dark shadow is empty, so only
+    # the splinters refute it.
+    system = [
+        c({"x": -11, "y": -13}, 27), c({"x": 11, "y": 13}, -45),
+        c({"x": -7, "y": 9}, -10), c({"x": 7, "y": -9}, -4),
+    ]
+    core = assert_core(system + [c({"w": 1}, -1)])
+    assert set(core) == set(system)
+
+
+def test_disequality_split_backjumps_over_unused_splits():
+    # x <= 0 and x >= 1 clash whatever the 24 disequalities say; without
+    # backjumping their eager split would explore 2^24 branches.
+    clash = [c({"x": 1}, 0), c({"x": -1}, 1)]
+    nes = [c({"y": 1}, -k, NE) for k in range(24)]
+    core = assert_core(nes + clash)
+    assert set(core) == set(clash)
+
+
+def test_disequality_in_the_core_when_needed():
+    # 0 <= x <= 1, x != 0, x != 1: both splits are needed.
+    cons = [c({"x": -1}, 0), c({"x": 1}, -1), c({"x": 1}, 0, NE), c({"x": 1}, -1, NE)]
+    core = assert_core(cons + [c({"y": 1}, 0, NE)])
+    assert set(core) == set(cons)
+
+
+# Under some hash seeds the elimination order of this system needs more
+# than _SPLINTER_LIMIT splinters; x = -2, y = 5 satisfies it.
+_SPLINTER_CAP_PROGRAM = """
+from repro.smt import lia
+from repro.smt.lia import Constraint
+
+system = [
+    Constraint.make({"x": -7802, "y": -857}, -16497),
+    Constraint.make({"x": 6352, "y": 3456}, -5407),
+    Constraint.make({"x": -7546, "y": -8413}, 19282),
+    Constraint.make({"x": 1}, -40),
+    Constraint.make({"x": -1}, -40),
+    Constraint.make({"y": 1}, -40),
+    Constraint.make({"y": -1}, -40),
+]
+assert all(con.holds({"x": -2, "y": 5}) for con in system)
+try:
+    result = lia.solve(system)
+except lia.SplinterLimit:
+    print("unknown")
+else:
+    if result:
+        assert all(con.holds(result.model) for con in system)
+    print("sat" if result else "unsat")
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "5"])
+def test_splinter_cap_gives_unknown_not_unsat(hash_seed):
+    import repro
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPLINTER_CAP_PROGRAM],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() in ("sat", "unknown")
+
+
+def test_splinter_cap_ends_the_query_as_unknown():
+    # The solver reports a BudgetExceeded query as UNKNOWN.
+    from repro.smt.budget import BudgetExceeded
+
+    assert issubclass(lia.SplinterLimit, BudgetExceeded)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from repro.smt import lia
 from repro.smt import terms as tm
 from repro.smt.sat import FALSE_VAL, TRUE_VAL, SatSolver
-from repro.smt.sorts import INT, OBJ
+from repro.smt.sorts import BOOL, INT, OBJ
+from repro.smt.theory import TheoryContext, check_literals
 from repro.verify import fir
 from repro.verify.fir import FAtom, assume, fand, for_, fresh, negate
 
@@ -96,6 +97,87 @@ def test_lia_monotone_under_strengthening(constraints):
     if not lia.solve(constraints):
         stronger = constraints + [lia.Constraint.make({"x": 1}, 0, lia.LE)]
         assert not lia.solve(stronger)
+
+
+@given(st.lists(constraint_strategy, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_lia_unsat_core_is_an_unsat_subset(constraints):
+    result = lia.solve(constraints)
+    if not result:
+        assert set(result.core) <= set(constraints)
+        assert not lia.solve(list(result.core))
+
+
+# ---------------------------------------------------------------------------
+# Theory combination: every conflict is an inconsistent subset of its input
+# ---------------------------------------------------------------------------
+
+_F = tm.FunSym("f", [OBJ], OBJ)
+_H = tm.FunSym("h", [INT], OBJ)
+_G = tm.FunSym("g", [OBJ], INT)
+_P = tm.FunSym("p", [OBJ], BOOL)
+_OBJS = [tm.mk_var(n, OBJ) for n in "ab"]
+_OBJS += [tm.mk_app(_F, [o]) for o in _OBJS]
+_INTS = [tm.mk_var(n, INT) for n in "xy"]
+_OBJS += [tm.mk_app(_H, [i]) for i in _INTS]
+_INTS += [tm.mk_app(_G, [o]) for o in _OBJS[:3]]
+_INTS += [tm.mk_int(k) for k in (0, 1)]
+
+_atoms = st.one_of(
+    st.builds(tm.mk_eq, st.sampled_from(_OBJS), st.sampled_from(_OBJS)),
+    st.builds(tm.mk_eq, st.sampled_from(_INTS), st.sampled_from(_INTS)),
+    st.builds(tm.mk_le, st.sampled_from(_INTS), st.sampled_from(_INTS)),
+    st.builds(lambda o: tm.mk_app(_P, [o]), st.sampled_from(_OBJS)),
+)
+_literal_lists = st.lists(
+    st.tuples(_atoms, st.booleans()), min_size=2, max_size=12
+).map(
+    # Theory literals are atoms with a polarity; mk_eq and mk_le may fold an
+    # atom to a constant, which the solver never hands the theory layer.
+    lambda lits: sorted(
+        {a: v for a, v in lits if a.kind != tm.BOOL_CONST}.items(),
+        key=lambda kv: kv[0]._id,
+    )
+)
+
+
+def _assert_sound_conflict(outcome, literals):
+    if outcome.consistent:
+        return
+    core = outcome.conflict
+    assert core, "a conflict names at least one literal"
+    assert set(core) <= set(literals)
+    assert not check_literals(core).consistent, core
+
+
+@given(_literal_lists)
+@settings(max_examples=300, deadline=None)
+def test_theory_conflict_is_an_inconsistent_subset(literals):
+    _assert_sound_conflict(check_literals(literals), literals)
+
+
+@given(
+    _literal_lists,
+    st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 2**12 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_theory_context_conflicts_survive_undo(pool, picks):
+    # One persistent context over a sequence of literal sets drawn from
+    # one pool: each keeps a prefix of the pool (so consecutive checks
+    # share a prefix of varying length) plus a subset of the rest, so
+    # each check undoes part of the previous one, reason records included.
+    context = TheoryContext()
+    for keep, subset in picks:
+        literals = pool[:keep] + [
+            lit for i, lit in enumerate(pool[keep:]) if subset >> i & 1
+        ]
+        outcome = context.check(literals)
+        assert outcome.consistent == check_literals(literals).consistent
+        _assert_sound_conflict(outcome, literals)
 
 
 # ---------------------------------------------------------------------------

@@ -187,3 +187,22 @@ def test_arithmetic_over_uninterpreted_terms():
         ]
     )
     assert not outcome.consistent
+
+
+def test_context_conflict_forgets_retracted_literals():
+    # The first check explains f(a) != f(b) by a = b; the second drops
+    # a = b and derives it through m instead.  A proof edge left over
+    # from the first check would be the shorter path and cite a = b.
+    from repro.smt.theory import TheoryContext
+
+    f = tm.FunSym("f", [OBJ], OBJ)
+    a, b, m = ovar("a"), ovar("b"), ovar("m")
+    ne = (tm.mk_eq(tm.mk_app(f, [a]), tm.mk_app(f, [b])), False)
+    direct = (tm.mk_eq(a, b), True)
+    via_m = [(tm.mk_eq(a, m), True), (tm.mk_eq(m, b), True)]
+    context = TheoryContext()
+    first = context.check(sorted([direct, ne], key=lambda l: l[0]._id))
+    assert set(first.conflict) == {direct, ne}
+    second = context.check(sorted(via_m + [ne], key=lambda l: l[0]._id))
+    assert not second.consistent
+    assert set(second.conflict) == set(via_m + [ne])
