@@ -1,8 +1,8 @@
 """The daemon's warm-path payoff: cold CLI vs warm re-verification.
 
 ``repro verify`` pays the whole pipeline on every invocation:
-interpreter startup, compile, pattern-algebra warmup, and every SMT
-obligation from scratch.  ``repro serve`` holds that state between
+interpreter startup, compile, and every SMT obligation from
+scratch.  ``repro serve`` holds that state between
 requests and adds the dependency index, so a re-verify of an unchanged
 file replays cached task outcomes (``dep-hit``) instead of re-running
 them.  This benchmark measures exactly that contract on a generated
@@ -13,8 +13,9 @@ corpus (:mod:`repro.gen`) with ground-truth manifests:
   integration pays per keystroke without a daemon);
 * **daemon cold** — the first ``verify`` request to a freshly spawned
   daemon: same work plus protocol overhead (every task is a dep-miss);
-* **daemon warm** — the identical request again: compile + fingerprint
-  + outcome replay, zero dep-misses.  The floor demands warm >= 2x
+* **daemon warm** — the identical request again: the unchanged files
+  are not recompiled, and every task replays its outcome (zero
+  dep-misses).  The floor demands warm >= 2x
   faster than the cold CLI;
 * **daemon edit** — one method's parameter is renamed in place (the
   line count is preserved, so no other declaration's spans move), then

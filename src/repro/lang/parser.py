@@ -29,6 +29,8 @@ _VISIBILITIES = ("public", "protected", "private")
 class Parser:
     def __init__(self, tokens: list[Token], filename: str = "<input>"):
         self.tokens = tokens
+        #: index of the closing EOF token, where lookahead saturates
+        self._last = len(tokens) - 1
         self.filename = filename
         self.pos = 0
         #: class/interface names seen so far -- used to resolve whether
@@ -38,8 +40,8 @@ class Parser:
     # -- token helpers --------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        index = self.pos + offset
+        return self.tokens[index if index < self._last else self._last]
 
     def _at(self, kind: TokenKind, text: str | None = None) -> bool:
         return self._peek().matches(kind, text)

@@ -2,10 +2,11 @@
 
 A long-running server process that keeps every expensive piece of
 verification state hot across requests — the in-memory
-:class:`~repro.smt.cache.SolverCache`, the pre-warmed pattern-algebra
-signature memos, and (the daemon's own contribution) per-task
-*dependency fingerprints* with cached task outcomes, so re-verifying an
-edited file re-runs only the obligations whose dependencies changed.
+:class:`~repro.smt.cache.SolverCache`, each file's last compile (an
+unchanged file is not compiled again), and (the daemon's own
+contribution) per-task *dependency fingerprints* with cached task
+outcomes, so re-verifying an edited file re-runs only the obligations
+whose dependencies changed.
 
 The pieces:
 

@@ -42,6 +42,7 @@ never guesses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 
 from ...lang import ast
@@ -52,6 +53,15 @@ from ..verifier import VerifyTask, iter_tasks
 _IMPLICIT_METHODS = ("equals",)
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A class's dataclass field names in declaration order, or None
+    when its instances are not dataclasses (memoized per class)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _dump(node, out: list[str], with_spans: bool) -> None:
     """A canonical structural rendering of an AST subtree.
 
@@ -60,15 +70,17 @@ def _dump(node, out: list[str], with_spans: bool) -> None:
     method (which shifts everything below it in the file) does not
     invalidate tasks whose own text is unchanged.
     """
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        out.append(type(node).__name__)
+    cls = type(node)
+    names = _field_names(cls)
+    if names is not None:
+        out.append(cls.__name__)
         out.append("(")
-        for f in dataclasses.fields(node):
-            if f.name == "span" and not with_spans:
+        for name in names:
+            if name == "span" and not with_spans:
                 continue
-            out.append(f.name)
+            out.append(name)
             out.append("=")
-            _dump(getattr(node, f.name), out, with_spans)
+            _dump(getattr(node, name), out, with_spans)
             out.append(",")
         out.append(")")
     elif isinstance(node, (list, tuple)):
@@ -104,18 +116,19 @@ def _referenced_names(node, names: set[str]) -> None:
             names.add(current.name)
             stack.extend(current.elements)
             continue
-        if not dataclasses.is_dataclass(current) or isinstance(current, type):
+        fields = _field_names(type(current))
+        if fields is None:
             continue
         if isinstance(current, ast.Call):
             names.add(current.name)
             if current.qualifier is not None:
                 names.add(current.qualifier)
-        for f in dataclasses.fields(current):
-            if f.name == "span":
+        for name in fields:
+            if name == "span":
                 continue
-            value = getattr(current, f.name)
+            value = getattr(current, name)
             if isinstance(value, (ast.Type, list, tuple)) or (
-                dataclasses.is_dataclass(value) and not isinstance(value, type)
+                _field_names(type(value)) is not None
             ):
                 stack.append(value)
 
@@ -149,6 +162,13 @@ class _TableIndex:
         self.table = table
         self._type_components: dict[str, tuple[str, set[str]]] = {}
         self._method_components: dict[str, tuple[str, set[str]]] = {}
+        #: method name -> the types declaring it, sorted by type name
+        self._method_owners: dict[str, list[str]] = {}
+        for type_name in sorted(table.types):
+            for method_name in table.types[type_name].methods:
+                self._method_owners.setdefault(method_name, []).append(
+                    type_name
+                )
 
     # -- components ----------------------------------------------------
 
@@ -204,11 +224,8 @@ class _TableIndex:
             return cached
         names: set[str] = set()
         parts = ["method-name=", repr(name)]
-        for type_name in sorted(self.table.types):
-            info = self.table.types[type_name]
-            decl_info = info.methods.get(name)
-            if decl_info is None:
-                continue
+        for type_name in self._method_owners.get(name, ()):
+            decl_info = self.table.types[type_name].methods[name]
             parts += ["owner=", repr(type_name), ":",
                       _method_spec_dump(decl_info.decl)]
             names.add(type_name)
@@ -275,11 +292,7 @@ class _TableIndex:
                     if n not in types_done
                 )
             if name not in methods_done and (
-                name in self.table.functions
-                or any(
-                    name in self.table.types[t].methods
-                    for t in self.table.types
-                )
+                name in self.table.functions or name in self._method_owners
             ):
                 methods_done.add(name)
                 pending.update(

@@ -6,14 +6,17 @@ socket (or stdio), and everything expensive stays hot between them:
 * the in-memory :class:`~repro.smt.cache.SolverCache` (optionally in
   front of the shared disk tier) — the 3.3× warm-cache lever that a
   cold CLI invocation pays for from scratch every time;
-* the pattern-algebra signature memos
-  (:func:`repro.verify.tiered.warm_algebra`), pre-built per compiled
-  table;
+* each file's last source text with its compiled table, task list and
+  dependency fingerprints: a file whose text, path and options are
+  unchanged is not compiled or fingerprinted again, so a request that
+  names a whole project pays only for the files that changed;
 * per-task *outcomes* keyed by dependency fingerprint
   (:mod:`repro.verify.daemon.index`): a re-``verify`` of an edited file
   re-runs only the tasks whose fingerprints changed (``dep-miss``) and
   replays the cached outcome for the rest (``dep-hit``), falling back
-  to a full re-run for any task the index cannot fingerprint.
+  to a full re-run for any task the index cannot fingerprint.  An
+  unchanged file goes through the same loop, where every fingerprinted
+  task hits.
 
 Requests are handled one at a time under a lock — verification is
 CPU-bound pure Python, so request-level concurrency would only
@@ -43,6 +46,7 @@ from dataclasses import dataclass, field
 
 from ... import api
 from ...errors import JMatchError
+from ...lang.symbols import ProgramTable
 from ...obs import NULL_TRACER, Tracer
 from ...obs.sink import span_rows
 from ..parallel import (
@@ -67,12 +71,23 @@ class _TaskEntry:
 
 @dataclass
 class _FileState:
-    """Everything the daemon remembers about one verified path."""
+    """Everything the daemon remembers about one verified path.
+
+    ``options_sig``, ``filename`` and ``source`` together are the key
+    under which ``table``, ``tasks`` and ``fingerprints`` — the last
+    successful compile of the path — are reused.  A compile error
+    leaves them alone, so restoring the old text reuses them again.
+    """
 
     options_sig: str
     entries: dict[VerifyTask, _TaskEntry] = field(default_factory=dict)
     verified_at: float = 0.0
-    tasks: int = 0
+    #: the path as the request spelled it (it is in every span)
+    filename: str | None = None
+    source: str | None = None
+    table: ProgramTable | None = None
+    tasks: list[VerifyTask] = field(default_factory=list)
+    fingerprints: dict[VerifyTask, str | None] = field(default_factory=dict)
 
 
 #: ``verify`` request options the daemon honors, with defaults; every
@@ -93,16 +108,17 @@ _VERIFY_OPTION_DEFAULTS = {
 
 
 def _options_signature(opts: dict) -> str:
-    """The part of a request's options that cached outcomes depend on.
+    """The part of a request's options that cached state depends on.
 
-    ``stats``/``profile`` only change rendering and ``dep_index`` only
-    changes reuse policy; everything else (including ``trace`` — an
-    outcome recorded without spans cannot serve a traced request)
+    ``stats``/``profile`` only change rendering; everything else
     participates, so changing e.g. the tier flushes the outcome cache
     instead of replaying verdicts produced under different rules.
+    That includes ``trace`` (an outcome recorded without spans cannot
+    serve a traced request) and ``dep_index`` (fingerprints computed
+    for one setting must not be reused under the other).
     """
     keys = ("budget", "tier", "incremental", "backend", "task_timeout",
-            "use_cache", "trace")
+            "use_cache", "trace", "dep_index")
     return repr([(k, opts[k]) for k in keys])
 
 
@@ -176,7 +192,7 @@ class VerifyDaemon:
             "dep_misses": self.dep_misses,
             "files": {
                 path: {
-                    "tasks": state.tasks,
+                    "tasks": len(state.tasks),
                     "verified_at": state.verified_at,
                 }
                 for path, state in sorted(self.files.items())
@@ -295,25 +311,27 @@ class VerifyDaemon:
                 source = handle.read()
         except OSError as exc:
             return {"path": path, "error": str(exc)}, 0, 0
-        try:
-            unit = api.compile_program(source, filename=path)
-        except JMatchError as exc:
-            return {"path": path, "error": str(exc)}, 0, 0
-        table = unit.table
-        if opts["tier"] != "smt-only":
-            from ..tiered import warm_algebra
-
-            warm_algebra(table)
-        tasks = list(iter_tasks(table))
-        fingerprints = (
-            fingerprint_tasks(table, tasks)
-            if opts["dep_index"]
-            else {task: None for task in tasks}
-        )
         options_sig = _options_signature(opts)
         state = self.files.get(abspath)
         if state is None or state.options_sig != options_sig:
             state = _FileState(options_sig)
+        if state.source != source or state.filename != path:
+            try:
+                unit = api.compile_program(source, filename=path)
+            except JMatchError as exc:
+                return {"path": path, "error": str(exc)}, 0, 0
+            state.filename = path
+            state.source = source
+            state.table = unit.table
+            state.tasks = list(iter_tasks(unit.table))
+            state.fingerprints = (
+                fingerprint_tasks(unit.table, state.tasks)
+                if opts["dep_index"]
+                else {task: None for task in state.tasks}
+            )
+        table, tasks, fingerprints = (
+            state.table, state.tasks, state.fingerprints
+        )
         cache = self.cache if opts["use_cache"] else None
         tracing = tracer.enabled
         start = time.perf_counter()
@@ -359,7 +377,6 @@ class VerifyDaemon:
         for stale in [key for key in state.entries if key not in live]:
             del state.entries[stale]
         state.verified_at = time.time()
-        state.tasks = len(tasks)
         self.files[abspath] = state
         report = merge_outcomes(outcomes, time.perf_counter() - start)
         report.solver_stats.parallel_decision = (

@@ -21,10 +21,12 @@ table decomposes into independent :class:`~repro.verify.verifier
 
 Throughput comes from amortization, not from more processes:
 
-* **warm workers** — the pool initializer builds the table, the cache
-  tiers, and the shared pattern-algebra signature memo
-  (:func:`repro.verify.tiered.warm_algebra`) once per worker process,
-  so per-task setup is a fresh ``Verifier`` over already-warm state;
+* **warm workers** — the pool initializer unpickles the table and
+  builds the cache tiers once per worker process, so per-task setup is
+  a fresh ``Verifier`` over already-warm state; the pattern-algebra
+  signature memo fills on first touch and is then shared by all of
+  the worker's tasks (only the (viewer, type) pairs its tasks use are
+  ever extracted);
 * **batching** — many small obligations ship per pool submission
   (:func:`resolve_batch_size`; ``batch_size="auto"`` sizes batches
   from the task and worker counts), collapsing the per-future
@@ -192,13 +194,8 @@ def _init_worker(
     tier: str = "auto",
     backend: str | None = None,
 ) -> None:
-    """Build this worker's warm state (runs once per process).
-
-    Everything a task would otherwise rebuild on first touch happens
-    here instead: the cache tiers, and — unless the run is
-    ``smt-only`` — the pattern-algebra signature memo for every
-    (viewer, type) pair, shared by all of this worker's tasks.
-    """
+    """Build this worker's warm state (runs once per process): the
+    table and the cache tiers, shared by all of this worker's tasks."""
     _WORKER["table"] = table
     _WORKER["budget"] = budget
     _WORKER["cache"] = build_cache(use_cache, cache_dir)
@@ -207,10 +204,6 @@ def _init_worker(
     _WORKER["trace"] = trace
     _WORKER["tier"] = tier
     _WORKER["backend"] = backend
-    if tier != "smt-only":
-        from .tiered import warm_algebra
-
-        warm_algebra(table)
 
 
 def run_one_task(

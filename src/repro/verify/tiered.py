@@ -71,7 +71,6 @@ __all__ = [
     "PWild",
     "Signature",
     "TierMismatchError",
-    "warm_algebra",
 ]
 
 
@@ -190,23 +189,6 @@ def _signature_store(table: ProgramTable, viewer: str | None) -> dict:
     except TypeError:  # unhashable/unweakrefable table stand-in (tests)
         return {}
     return per_table.setdefault(viewer, {})
-
-
-def warm_algebra(table: ProgramTable) -> None:
-    """Pre-extract every (viewer, type) signature into the shared memo.
-
-    The parallel driver's worker initializer calls this once per
-    process, so no task — whichever worker it lands on — pays the
-    first-touch cost of parsing sealing invariants; the serial driver
-    gets the same effect implicitly through the shared store.
-    """
-    for viewer in [None, *table.types]:
-        algebra = PatternAlgebra(table, viewer)
-        for type_name in table.types:
-            try:
-                algebra.signature(type_name)
-            except _Ineligible:
-                pass
 
 
 class PatternAlgebra:

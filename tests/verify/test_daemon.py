@@ -13,11 +13,13 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.cli import main
+from repro.corpus import combined_programs
 from repro.verify.daemon import (
     DaemonClient,
     DaemonError,
@@ -167,6 +169,25 @@ def test_fingerprint_unresolvable_task_is_none():
     assert task_fingerprint(table, ghost) is None
 
 
+GOLDEN_FINGERPRINTS = Path(__file__).with_name("golden_fingerprints.json")
+
+
+def test_fingerprints_match_golden_digests():
+    """What a fingerprint covers is pinned: digests for two corpus
+    groups were captured before the index was optimised, and a faster
+    rendering must reproduce them exactly."""
+    golden = json.loads(GOLDEN_FINGERPRINTS.read_text())
+    for group, expected in golden.items():
+        unit = api.compile_program(
+            combined_programs()[group], filename=f"{group}.jm"
+        )
+        got = {
+            f"{task.kind}:{task.label}": fingerprint
+            for task, fingerprint in fingerprint_tasks(unit.table).items()
+        }
+        assert got == expected, group
+
+
 # -- the daemon, in process --------------------------------------------
 
 
@@ -282,6 +303,136 @@ def test_daemon_verify_rejects_bad_params(program):
         response = daemon.handle_line(request_line("verify", 1, **params))
         assert response["ok"] is False, params
         assert response["error"]["code"] == protocol.ERROR_INVALID_PARAMS
+
+
+# -- file-level reuse: unchanged files are not recompiled -------------
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The filenames ``api.compile_program`` is called with, in order."""
+    calls = []
+    original = api.compile_program
+
+    def counting(source, filename="<input>", **kwargs):
+        calls.append(filename)
+        return original(source, filename=filename, **kwargs)
+
+    monkeypatch.setattr(api, "compile_program", counting)
+    return calls
+
+
+def _without_seconds(result):
+    """The file documents of a verify result, report ``seconds`` zeroed."""
+    files = json.loads(json.dumps(result["files"]))
+    for entry in files:
+        if "report" in entry:
+            entry["report"]["seconds"] = 0.0
+    return files
+
+
+def test_daemon_unchanged_files_are_not_recompiled(program, compiles):
+    paths = [program(BUGGY, name="a.jm"), program(CLEAN, name="b.jm")]
+    daemon = VerifyDaemon(use_cache=False)
+    cold = verify_result(daemon, paths)
+    assert compiles == paths
+    del compiles[:]
+    warm = verify_result(daemon, paths, request_id=2)
+    again = verify_result(daemon, paths, request_id=3)
+    assert compiles == []
+    # an unchanged file still goes through the dependency index
+    assert warm["dep_hits"] == cold["dep_misses"]
+    assert warm["dep_misses"] == 0
+    assert _without_seconds(again) == _without_seconds(warm)
+    # Apart from seconds, only the driver decision's hit/miss split
+    # tells the replay from the cold run.
+    for entry in cold["files"] + warm["files"]:
+        stats = entry["report"]["solver_stats"]
+        stats["parallel_decision"] = stats["parallel_decision"].split(" (")[0]
+    assert _without_seconds(warm) == _without_seconds(cold)
+
+
+def _recompiles_after(change, program, compiles, **options):
+    """How many files the request after ``change`` compiles."""
+    paths = [program(BUGGY, name="a.jm"), program(CLEAN, name="b.jm")]
+    daemon = VerifyDaemon(use_cache=False)
+    verify_result(daemon, paths, **options)
+    verify_result(daemon, paths, request_id=2, **options)
+    del compiles[:]
+    options = change(daemon, paths, options)
+    verify_result(daemon, paths, request_id=3, **options)
+    return list(compiles), paths
+
+
+def test_daemon_one_changed_byte_recompiles_that_file(program, compiles):
+    def edit(daemon, paths, options):
+        Path(paths[0]).write_text(BUGGY.replace("return 1;", "return 7;", 1))
+        return options
+
+    recompiled, paths = _recompiles_after(edit, program, compiles)
+    assert recompiled == [paths[0]]
+
+
+def test_daemon_invalidate_recompiles(program, compiles):
+    def invalidate(daemon, paths, options):
+        daemon.handle_line(request_line("invalidate", 9, paths=[paths[1]]))
+        return options
+
+    recompiled, paths = _recompiles_after(invalidate, program, compiles)
+    assert recompiled == [paths[1]]
+
+
+@pytest.mark.parametrize("before,after", [
+    ({"budget": 2.0}, {"budget": 1.0}),
+    ({"tier": "auto"}, {"tier": "smt-only"}),
+    ({"dep_index": True}, {"dep_index": False}),
+    ({"dep_index": False}, {"dep_index": True}),
+])
+def test_daemon_option_change_recompiles(program, compiles, before, after):
+    recompiled, paths = _recompiles_after(
+        lambda daemon, paths, options: after, program, compiles, **before
+    )
+    assert recompiled == paths
+
+
+def test_daemon_dep_index_off_reruns_every_task(program, compiles):
+    path = program(BUGGY)
+    daemon = VerifyDaemon(use_cache=False)
+    first = verify_result(daemon, [path], dep_index=False)
+    second = verify_result(daemon, [path], request_id=2, dep_index=False)
+    assert first["dep_hits"] == second["dep_hits"] == 0
+    assert second["dep_misses"] == first["dep_misses"] > 0
+    assert compiles == [path]
+    reports = lambda r: [_normalize_report(f["report"]) for f in r["files"]]
+    assert reports(second) == reports(first)
+
+
+def test_daemon_path_spelling_is_part_of_the_key(program, compiles):
+    path = program(BUGGY)
+    daemon = VerifyDaemon(use_cache=False)
+    verify_result(daemon, [path])
+    respelled = os.path.join(os.path.dirname(path), ".",
+                             os.path.basename(path))
+    result = verify_result(daemon, [respelled], request_id=2)
+    assert compiles == [path, respelled]
+    warnings = result["files"][0]["report"]["warnings"]
+    assert warnings and all(w["file"] == respelled for w in warnings)
+
+
+def test_daemon_compile_error_then_restore_replays(program, compiles):
+    path = program(BUGGY)
+    daemon = VerifyDaemon(use_cache=False)
+    verify_result(daemon, [path])
+    warm = verify_result(daemon, [path], request_id=2)
+    Path(path).write_text(BUGGY + "\nclass {\n")
+    broken = verify_result(daemon, [path], request_id=3)
+    assert "error" in broken["files"][0] and broken["status"] == 1
+    Path(path).write_text(BUGGY)
+    del compiles[:]
+    restored = verify_result(daemon, [path], request_id=4)
+    assert compiles == []
+    assert restored["dep_misses"] == 0
+    assert _without_seconds(restored) == _without_seconds(warm)
 
 
 def test_daemon_compile_error_is_a_file_entry(program):
