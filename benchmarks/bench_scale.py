@@ -79,7 +79,12 @@ def _verify_lane(units, jobs, batch_size="auto"):
     """One no-cache pass over every unit; returns (seconds, reports)."""
     start = time.perf_counter()
     reports = [
-        api.verify(unit, cache=None, jobs=jobs, batch_size=batch_size)
+        api.verify(
+            unit,
+            options=api.VerifyOptions(
+                cache=None, jobs=jobs, batch_size=batch_size
+            ),
+        )
         for unit in units
     ]
     return time.perf_counter() - start, reports

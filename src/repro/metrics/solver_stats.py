@@ -120,14 +120,8 @@ class VerifyStats:
 
     per_method: dict[str, QueryStats] = field(default_factory=dict)
     total: QueryStats = field(default_factory=QueryStats)
-    #: per-engine attribution: which backend actually answered each
-    #: query.  A single-backend run has one row; a portfolio run has
-    #: one row per strategy (the row counts its *wins* — queries where
-    #: that strategy produced the verdict the run used), so ``--stats``
-    #: never sums incompatible engine counters into one aggregate.
+    #: per-engine attribution: which backend answered each query
     per_backend: dict[str, QueryStats] = field(default_factory=dict)
-    #: portfolio strategies knocked out for the run (crash/hang) and why
-    backends_disqualified: dict[str, str] = field(default_factory=dict)
     # -- pipeline fault-tolerance accounting (repro.verify.parallel) --
     #: task re-executions after a worker crash/failure (pool retry
     #: round plus in-process serial fallback runs)
@@ -188,8 +182,6 @@ class VerifyStats:
             self.per_method.setdefault(name, QueryStats()).merge(stats)
         for name, stats in other.per_backend.items():
             self.per_backend.setdefault(name, QueryStats()).merge(stats)
-        for name, reason in other.backends_disqualified.items():
-            self.backends_disqualified.setdefault(name, reason)
         self.total.merge(other.total)
         self.tasks_retried += other.tasks_retried
         self.tasks_timed_out += other.tasks_timed_out
@@ -219,10 +211,6 @@ class VerifyStats:
             "per_backend": {
                 name: self.per_backend[name].to_dict()
                 for name in sorted(self.per_backend)
-            },
-            "backends_disqualified": {
-                name: self.backends_disqualified[name]
-                for name in sorted(self.backends_disqualified)
             },
             "tasks_retried": self.tasks_retried,
             "tasks_timed_out": self.tasks_timed_out,
@@ -260,10 +248,7 @@ class VerifyStats:
             f"{t.deepening_passes:>8}{t.cache_hits:>6}{t.cache_misses:>6}"
         )
         if self.per_backend:
-            # One row per engine that actually answered queries.  Under
-            # a portfolio each row is that strategy's wins; the counters
-            # are the winner's own (never summed across engines, whose
-            # internals count different things).
+            # One row per engine that answered queries.
             lines.append("")
             lines.append("backend" + " " * 33 + header[40:])
             lines.append("-" * len(header))
@@ -278,11 +263,6 @@ class VerifyStats:
                     f"{stats.cache_misses:>6}"
                 )
             lines.append("-" * len(header))
-        for name in sorted(self.backends_disqualified):
-            lines.append(
-                f"backend disqualified: {name} "
-                f"({self.backends_disqualified[name]})"
-            )
         lines.append(
             f"cache hit rate: {t.cache_hit_rate:.1%} "
             f"({t.cache_hits}/{t.cache_hits + t.cache_misses}; "

@@ -71,7 +71,6 @@ class Z3Backend(SolverBackend):
     """Depth-bounded eager expansion into z3, verdicts only."""
 
     name = "z3"
-    capabilities = frozenset({"models"})
 
     @classmethod
     def available(cls) -> bool:

@@ -96,8 +96,7 @@ class _FileState:
 _VERIFY_OPTION_DEFAULTS = {
     "budget": None,
     "tier": "auto",
-    "incremental": True,
-    "backend": None,
+    "backend": "incremental",
     "task_timeout": None,
     "use_cache": True,
     "dep_index": True,
@@ -117,8 +116,8 @@ def _options_signature(opts: dict) -> str:
     serve a traced request) and ``dep_index`` (fingerprints computed
     for one setting must not be reused under the other).
     """
-    keys = ("budget", "tier", "incremental", "backend", "task_timeout",
-            "use_cache", "trace", "dep_index")
+    keys = ("budget", "tier", "backend", "task_timeout", "use_cache",
+            "trace", "dep_index")
     return repr([(k, opts[k]) for k in keys])
 
 
@@ -243,14 +242,14 @@ class VerifyDaemon:
             )
         opts = dict(_VERIFY_OPTION_DEFAULTS)
         opts.update(raw)
+        options = api.VerifyOptions(
+            budget=opts["budget"],
+            tier=opts["tier"],
+            backend=opts["backend"],
+            task_timeout=opts["task_timeout"],
+        )
         try:
-            api.VerifyOptions(
-                budget=opts["budget"],
-                tier=opts["tier"],
-                incremental=bool(opts["incremental"]),
-                backend=opts["backend"],
-                task_timeout=opts["task_timeout"],
-            ).validate()
+            options.validate()
         except (TypeError, ValueError) as exc:
             return protocol.error_response(
                 request_id, protocol.ERROR_INVALID_PARAMS, str(exc)
@@ -267,7 +266,7 @@ class VerifyDaemon:
         try:
             for path in paths:
                 entry, file_hits, file_misses = self._verify_file(
-                    path, opts, tracer
+                    path, opts, options, tracer
                 )
                 files.append(entry)
                 hits += file_hits
@@ -296,7 +295,7 @@ class VerifyDaemon:
     # -- the warm verification path ------------------------------------
 
     def _verify_file(
-        self, path: str, opts: dict, tracer
+        self, path: str, opts: dict, options: api.VerifyOptions, tracer
     ) -> tuple[dict, int, int]:
         """Verify one path against the warm state; a CLI-shaped entry.
 
@@ -354,10 +353,7 @@ class VerifyDaemon:
                     misses += 1
                     try:
                         outcome = run_one_task(
-                            table, task, opts["budget"], cache,
-                            bool(opts["incremental"]), opts["task_timeout"],
-                            tracing, opts["tier"],
-                            backend=opts["backend"],
+                            table, task, options, cache, tracing
                         )
                     except Exception as exc:
                         outcome = _failed_outcome(table, task, exc, tracing)

@@ -93,6 +93,7 @@ from ..lang.symbols import ProgramTable
 from ..metrics.solver_stats import VerifyStats
 from ..obs import NULL_TRACER, Span, Tracer
 from .faults import active_fault, maybe_fail_task
+from .options import VerifyOptions
 from .verifier import (
     VerificationReport,
     Verifier,
@@ -185,37 +186,29 @@ _WORKER: dict = {}
 
 def _init_worker(
     table: ProgramTable,
-    budget: float | None,
+    options: VerifyOptions,
     use_cache: bool,
-    cache_dir: str | None,
-    incremental: bool = True,
-    task_timeout: float | None = None,
-    trace: bool = False,
-    tier: str = "auto",
-    backend: str | None = None,
+    trace: bool,
 ) -> None:
     """Build this worker's warm state (runs once per process): the
-    table and the cache tiers, shared by all of this worker's tasks."""
+    table and the cache tiers, shared by all of this worker's tasks.
+
+    ``options`` arrives without its live ``cache`` and ``tracer``,
+    which cannot be pickled; ``use_cache`` and ``trace`` are what the
+    worker needs to know of them.
+    """
     _WORKER["table"] = table
-    _WORKER["budget"] = budget
-    _WORKER["cache"] = build_cache(use_cache, cache_dir)
-    _WORKER["incremental"] = incremental
-    _WORKER["task_timeout"] = task_timeout
+    _WORKER["options"] = options
+    _WORKER["cache"] = build_cache(use_cache, options.cache_dir)
     _WORKER["trace"] = trace
-    _WORKER["tier"] = tier
-    _WORKER["backend"] = backend
 
 
 def run_one_task(
     table: ProgramTable,
     task: VerifyTask,
-    budget: float | None,
+    options: VerifyOptions,
     cache,
-    incremental: bool,
-    task_timeout: float | None,
     trace: bool = False,
-    tier: str = "auto",
-    backend: str | None = None,
 ) -> TaskOutcome:
     """Verify one task, rebuilding the solver session.
 
@@ -239,17 +232,14 @@ def run_one_task(
     degradation is surfaced on ``VerifyStats.deadlines_degraded`` and
     as a ``deadline-degraded`` trace event.
     """
+    task_timeout = options.task_timeout
     degraded = task_timeout is not None and not deadline_armable()
-    effective_budget = budget
     if degraded:
-        effective_budget = (
-            task_timeout if budget is None else min(budget, task_timeout)
-        )
+        budget = options.budget
+        if budget is None or budget > task_timeout:
+            options = options.replace(budget=task_timeout)
     tracer = Tracer() if trace else NULL_TRACER
-    verifier = Verifier(
-        table, budget=effective_budget, cache=cache, incremental=incremental,
-        tracer=tracer, tier=tier, backend=backend,
-    )
+    verifier = Verifier(table, cache=cache, tracer=tracer, options=options)
     started = time.perf_counter()
     try:
         with task_deadline(task_timeout):
@@ -345,13 +335,9 @@ def verify_method_task(task: VerifyTask) -> TaskOutcome:
     return run_one_task(
         _WORKER["table"],
         task,
-        _WORKER["budget"],
+        _WORKER["options"],
         _WORKER["cache"],
-        _WORKER.get("incremental", True),
-        _WORKER.get("task_timeout"),
-        _WORKER.get("trace", False),
-        _WORKER.get("tier", "auto"),
-        backend=_WORKER.get("backend"),
+        _WORKER["trace"],
     )
 
 
@@ -595,15 +581,9 @@ def _run_rounds(
     table: ProgramTable,
     tasks: list[VerifyTask],
     jobs: int,
-    budget: float | None,
-    use_cache: bool,
-    cache_dir: str | None,
-    incremental: bool,
-    task_timeout: float | None,
+    options: VerifyOptions,
     trace: bool = False,
-    tier: str = "auto",
     batch_size: int = 1,
-    backend: str | None = None,
 ) -> tuple[dict[int, TaskOutcome], int]:
     """The pool rounds plus serial fallback; every task gets an outcome.
 
@@ -617,6 +597,8 @@ def _run_rounds(
     event on their task span, so a trace shows which obligations
     survived a crash.
     """
+    task_timeout = options.task_timeout
+    shipped = options.replace(cache=None, tracer=None)
     outcomes: dict[int, TaskOutcome] = {}
     retried = 0
     retried_indices: set[int] = set()
@@ -634,17 +616,7 @@ def _run_rounds(
             max_workers=min(jobs, len(remaining)),
             mp_context=_pool_context(),
             initializer=_init_worker,
-            initargs=(
-                table,
-                budget,
-                use_cache,
-                cache_dir,
-                incremental,
-                task_timeout,
-                trace,
-                tier,
-                backend,
-            ),
+            initargs=(table, shipped, options.use_cache, trace),
         )
         try:
             done, raised, broken = _drain_pool(
@@ -671,12 +643,11 @@ def _run_rounds(
     if fallback:
         retried += len(fallback)
         retried_indices.update(fallback)
-        cache = build_cache(use_cache, cache_dir)
+        cache = build_cache(options.use_cache, options.cache_dir)
         for index, task in sorted(fallback.items()):
             try:
                 outcomes[index] = run_one_task(
-                    table, task, budget, cache, incremental, task_timeout,
-                    trace, tier, backend=backend,
+                    table, task, options, cache, trace
                 )
             except Exception as exc:
                 outcomes[index] = _failed_outcome(table, task, exc, trace)
@@ -690,40 +661,25 @@ def _run_rounds(
 
 def verify_serial_with_timeout(
     table: ProgramTable,
-    budget: float | None = None,
+    options: VerifyOptions,
     cache=None,
-    incremental: bool = True,
-    task_timeout: float | None = None,
     tracer=NULL_TRACER,
-    options=None,
-    tier: str = "auto",
-    backend: str | None = None,
 ) -> VerificationReport:
     """The serial driver with per-task deadlines and degradation.
 
     The ``jobs == 1`` analogue of the fault-tolerant pipeline (also its
-    in-process fallback semantics): each task runs under the deadline,
-    and a task that raises degrades to an UNKNOWN-style warning.  An
-    explicit ``options`` (:class:`repro.api.VerifyOptions`) supplies
-    budget/incremental/task_timeout; ``cache`` stays a direct argument
-    because the caller has already resolved the tiers.
+    in-process fallback semantics): each task runs under
+    ``options.task_timeout``, and a task that raises degrades to an
+    UNKNOWN-style warning.  ``cache`` is an argument because the caller
+    has already resolved the tiers.
     """
-    if options is not None:
-        budget = options.budget
-        incremental = options.incremental
-        task_timeout = options.task_timeout
-        tier = options.tier
-        backend = options.backend
     active_fault()  # reject a malformed REPRO_FAULT loudly, up front
     start = time.perf_counter()
     trace = tracer.enabled
     outcomes: list[TaskOutcome] = []
     for task in iter_tasks(table):
         try:
-            outcome = run_one_task(
-                table, task, budget, cache, incremental, task_timeout,
-                trace, tier, backend=backend,
-            )
+            outcome = run_one_task(table, task, options, cache, trace)
         except Exception as exc:
             outcome = _failed_outcome(table, task, exc, trace)
         outcomes.append(outcome)
@@ -735,17 +691,8 @@ def verify_serial_with_timeout(
 
 def verify_parallel(
     table: ProgramTable,
-    jobs: int | str = 1,
-    budget: float | None = None,
-    use_cache: bool = True,
-    cache_dir: str | None = None,
-    incremental: bool = True,
-    task_timeout: float | None = None,
+    options: VerifyOptions,
     tracer=NULL_TRACER,
-    options=None,
-    tier: str = "auto",
-    batch_size: int | str = "auto",
-    backend: str | None = None,
 ) -> VerificationReport:
     """Verify every task of ``table`` on a pool of ``jobs`` processes.
 
@@ -755,29 +702,21 @@ def verify_parallel(
     the way (see the module docstring for the recovery policy).  Worker
     span trees are re-attached to ``tracer`` in that same task order,
     so a traced parallel run yields the serial span tree modulo span
-    ids, pids, and timings.  An explicit ``options``
-    (:class:`repro.api.VerifyOptions`) supplies every scalar knob.
+    ids, pids, and timings.  Every knob comes from ``options``; its
+    ``cache`` field only says whether to cache (each worker builds its
+    own tiers over ``options.cache_dir``).
     """
-    if options is not None:
-        jobs = options.jobs
-        budget = options.budget
-        use_cache = options.use_cache
-        cache_dir = options.cache_dir
-        incremental = options.incremental
-        task_timeout = options.task_timeout
-        tier = options.tier
-        batch_size = options.batch_size
-        backend = options.backend
     active_fault()  # reject a malformed REPRO_FAULT loudly, up front
     tasks = list(iter_tasks(table))
-    requested = jobs
-    jobs = resolve_jobs(jobs, len(tasks))
+    requested = options.jobs
+    task_timeout = options.task_timeout
+    jobs = resolve_jobs(requested, len(tasks))
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs > 1 and len(tasks) <= 1:
         jobs = 1
     batch_size = resolve_batch_size(
-        batch_size, len(tasks), jobs, task_timeout
+        options.batch_size, len(tasks), jobs, task_timeout
     )
     decision = describe_parallel_decision(
         requested, jobs, len(tasks), batch_size
@@ -787,28 +726,19 @@ def verify_parallel(
     start = time.perf_counter()
     if jobs == 1:
         # Nothing to fan out: take the serial path (same code, no pool).
-        cache = build_cache(use_cache, cache_dir)
+        cache = build_cache(options.use_cache, options.cache_dir)
         if task_timeout is None:
             report = Verifier(
-                table, budget=budget, cache=cache, incremental=incremental,
-                tracer=tracer, tier=tier, backend=backend,
+                table, cache=cache, tracer=tracer, options=options
             ).run()
         else:
             report = verify_serial_with_timeout(
-                table,
-                budget=budget,
-                cache=cache,
-                incremental=incremental,
-                task_timeout=task_timeout,
-                tracer=tracer,
-                tier=tier,
-                backend=backend,
+                table, options, cache=cache, tracer=tracer
             )
         report.solver_stats.parallel_decision = decision
         return report
     outcomes, retried = _run_rounds(
-        table, tasks, jobs, budget, use_cache, cache_dir, incremental,
-        task_timeout, tracer.enabled, tier, batch_size, backend=backend,
+        table, tasks, jobs, options, tracer.enabled, batch_size
     )
     assert len(outcomes) == len(tasks), "every task must have an outcome"
     if tracer.enabled:

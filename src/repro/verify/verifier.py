@@ -39,6 +39,7 @@ from .disjointness import DisjointnessChecker
 from .exhaustiveness import ExhaustivenessChecker
 from .extract import mode_knowns
 from .fir import F
+from .options import VerifyOptions
 from .solving import SolverSession
 from .tiered import AlgebraDecision, PatternAlgebra
 from .totality import TotalityChecker
@@ -108,7 +109,7 @@ def task_span(table: ProgramTable, task: VerifyTask):
 
 
 #: bump when the machine-readable report shape changes incompatibly
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -186,39 +187,28 @@ class Verifier:
     def __init__(
         self,
         table: ProgramTable,
-        budget: float | None = None,
         cache: SolverCache | None = GLOBAL_CACHE,
-        incremental: bool = True,
         tracer=NULL_TRACER,
-        tier: str = "auto",
-        options=None,
-        backend: str | None = None,
+        options: VerifyOptions | None = None,
     ):
-        if options is not None:
-            # The consolidated configuration object (repro.api
-            # .VerifyOptions); budget/incremental/tier/backend come from
-            # it, while ``cache`` stays an explicit argument because the
-            # driver that builds a Verifier has already resolved the
-            # cache tiers.
-            budget = options.budget
-            incremental = options.incremental
-            tier = options.tier
-            backend = options.backend
+        # budget, tier and backend come from ``options``; ``cache``
+        # stays an argument because the driver that builds a Verifier
+        # has already resolved the cache tiers.
+        options = options or VerifyOptions()
         self.table = table
         self.diag = Diagnostics()
         self.tracer = tracer
-        self.tier = tier
+        self.tier = options.tier
         self.session = SolverSession(
-            budget=budget,
+            budget=options.budget,
             cache=cache,
             stats=VerifyStats(),
-            incremental=incremental,
             tracer=tracer,
-            backend=backend,
+            backend=options.backend,
         )
         self.totality = TotalityChecker(table, self.diag, self.session)
         self.disjointness = DisjointnessChecker(
-            table, self.diag, self.session, tier=tier
+            table, self.diag, self.session, tier=options.tier
         )
         self.statements_checked = 0
         self.methods_checked = 0

@@ -29,7 +29,9 @@ def units():
 
 
 def _traced_rows(unit, path, **kwargs):
-    report = api.verify(unit, trace=str(path), **kwargs)
+    report = api.verify(
+        unit, options=api.VerifyOptions(trace=str(path), **kwargs)
+    )
     rows = read_jsonl(str(path))
     assert validate_trace_rows(rows) == []
     return report, rows

@@ -368,7 +368,7 @@ def test_tokens_table(capsys):
     assert "average reduction" in out
 
 
-# -- observability flags (--trace, --format, --no-incremental) -----------
+# -- observability flags (--trace, --format, --backend) -------------------
 
 
 def test_verify_format_json_emits_one_parseable_document(program, capsys):
@@ -455,20 +455,23 @@ def test_verify_trace_does_not_change_text_output(program, capsys, tmp_path):
 
 
 def test_verify_no_incremental_output_matches_default(program, capsys):
+    """The non-incremental engine (``--backend reference``) prints the
+    same report as the default incremental one."""
     path = program(BUGGY)
     strip = lambda text: [
         l for l in text.splitlines() if not l.startswith("checked ")
     ]
     assert main(["verify", path]) == 0
     incremental = capsys.readouterr().out
-    assert main(["verify", path, "--no-incremental"]) == 0
+    assert main(["verify", path, "--backend", "reference"]) == 0
     rebuilt = capsys.readouterr().out
     assert strip(incremental) == strip(rebuilt)
 
 
 def test_verify_no_incremental_reaches_the_session(program, capsys, monkeypatch):
-    """The --no-incremental flag must thread through api.verify (the
-    historical bug: cmd_verify never passed ``incremental`` at all)."""
+    """Choosing the non-incremental engine (``--backend reference``)
+    must thread through api.verify (the historical bug: cmd_verify
+    never passed the engine choice at all)."""
     from repro import api as api_module
 
     seen = {}
@@ -476,16 +479,16 @@ def test_verify_no_incremental_reaches_the_session(program, capsys, monkeypatch)
 
     def spy(unit, *args, **kwargs):
         report = real_verify(unit, *args, **kwargs)
-        seen["incremental"] = kwargs["options"].incremental
+        seen["backend"] = kwargs["options"].backend
         return report
 
     monkeypatch.setattr(api_module, "verify", spy)
-    assert main(["verify", program(CLEAN), "--no-incremental"]) == 0
+    assert main(["verify", program(CLEAN), "--backend", "reference"]) == 0
     capsys.readouterr()
-    assert seen["incremental"] is False
+    assert seen["backend"] == "reference"
     assert main(["verify", program(CLEAN)]) == 0
     capsys.readouterr()
-    assert seen["incremental"] is True
+    assert seen["backend"] == "incremental"
 
 # -- exit-status matrix, JSON stats round-trip, and --tier ----------------
 
@@ -512,20 +515,31 @@ def test_exit_status_matrix_invalid_flag(program, capsys, format_flag):
     capsys.readouterr()
 
 
-def test_conflicting_backend_and_no_incremental_exits_2(program, capsys):
-    # --no-incremental is a deprecated alias for --backend reference;
-    # combining it with a different backend must die with one coherent
-    # message, not silently prefer either knob.
-    args = ["verify", program(CLEAN), "--no-incremental",
-            "--backend", "portfolio"]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "conflicts with backend" in err
-
-
-def test_backend_flag_selects_portfolio(program, capsys):
-    assert main(["verify", program(CLEAN), "--backend", "portfolio"]) == 0
+@pytest.mark.parametrize("flags", [
+    ["--no-incremental"],
+    ["--backend", "portfolio"],
+], ids=["no-incremental", "portfolio"])
+def test_removed_engine_flags_exit_2(program, capsys, flags):
+    # --backend alone picks the engine; its choices are the registry's
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", program(CLEAN)] + flags)
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_backend_flag_offers_the_registered_backends(program, capsys):
+    from repro import api
+    from repro.smt.backend import ReferenceBackend, _REGISTRY
+
+    class Mine(ReferenceBackend):
+        name = "mine"
+
+    api.register_backend("mine", Mine)
+    try:
+        assert main(["verify", program(BUGGY), "--backend", "mine"]) == 0
+    finally:
+        del _REGISTRY["mine"]
+    assert "warning[" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("format_flag", ["text", "json"])

@@ -299,6 +299,8 @@ def test_daemon_verify_rejects_bad_params(program):
         {"paths": ["x.jm"], "options": {"bogus": 1}},
         {"paths": ["x.jm"], "options": {"budget": -1}},
         {"paths": ["x.jm"], "options": []},
+        {"paths": ["x.jm"], "options": {"incremental": False}},
+        {"paths": ["x.jm"], "options": {"backend": "portfolio"}},
     ):
         response = daemon.handle_line(request_line("verify", 1, **params))
         assert response["ok"] is False, params
@@ -672,10 +674,10 @@ def test_task_deadline_degrades_off_main_thread():
 
     def worker():
         outcomes["normal"] = run_one_task(
-            table, task, None, None, True, 30.0
+            table, task, api.VerifyOptions(task_timeout=30.0), None
         )
         outcomes["overrun"] = run_one_task(
-            table, task, None, None, True, 1e-9
+            table, task, api.VerifyOptions(task_timeout=1e-9), None
         )
 
     thread = threading.Thread(target=worker)

@@ -3,11 +3,12 @@
 The incremental engine shares Tseitin encodings, plugin axioms, theory
 lemmas, and CDCL-learned clauses across the query chain of each
 statement; the acceptance bar is that this is *pure* work sharing.
-For every corpus program, ``incremental=True`` (the default) must
-produce byte-identical warnings (messages and counterexample text),
-the same ``methods_checked`` / ``statements_checked``, and the same
-verdict counts as ``incremental=False``, which rebuilds a fresh solver
-per query -- under both the serial driver and the process pool.
+For every corpus program, the ``incremental`` backend (the default)
+must produce byte-identical warnings (messages and counterexample
+text), the same ``methods_checked`` / ``statements_checked``, and the
+same verdict counts as the ``reference`` backend, which rebuilds a
+fresh solver per query -- under both the serial driver and the
+process pool.
 """
 
 import pytest
@@ -45,8 +46,15 @@ def units():
 
 @pytest.mark.parametrize("group", FAST_GROUPS)
 def test_incremental_matches_fromscratch_serial(units, group):
-    baseline = api.verify(units[group], cache=None, incremental=False)
-    incremental = api.verify(units[group], cache=None, incremental=True)
+    baseline = api.verify(
+        units[group],
+        options=api.VerifyOptions(
+            cache=None, backend="reference"
+        ),
+    )
+    incremental = api.verify(
+        units[group], options=api.VerifyOptions(cache=None)
+    )
     assert _snapshot(baseline) == _snapshot(incremental)
     assert _verdicts(baseline) == _verdicts(incremental)
 
@@ -54,10 +62,13 @@ def test_incremental_matches_fromscratch_serial(units, group):
 @pytest.mark.parametrize("group", FAST_GROUPS)
 def test_incremental_matches_fromscratch_parallel(units, group):
     baseline = api.verify(
-        units[group], jobs=4, cache=None, incremental=False
+        units[group],
+        options=api.VerifyOptions(
+            jobs=4, cache=None, backend="reference"
+        ),
     )
     incremental = api.verify(
-        units[group], jobs=4, cache=None, incremental=True
+        units[group], options=api.VerifyOptions(jobs=4, cache=None)
     )
     assert _snapshot(baseline) == _snapshot(incremental)
 
@@ -75,10 +86,13 @@ def test_trees_under_dead_budget_is_sound_and_deterministic(units):
     are visited, and each engine is deterministic run to run.
     """
     baseline = api.verify(
-        units["trees"], cache=None, budget=NO_BUDGET, incremental=False
+        units["trees"],
+        options=api.VerifyOptions(
+            cache=None, budget=NO_BUDGET, backend="reference"
+        ),
     )
     incremental = api.verify(
-        units["trees"], cache=None, budget=NO_BUDGET, incremental=True
+        units["trees"], options=api.VerifyOptions(cache=None, budget=NO_BUDGET)
     )
     for report in (baseline, incremental):
         assert report.diagnostics.warnings, "trees should warn under tiny budget"
@@ -89,7 +103,7 @@ def test_trees_under_dead_budget_is_sound_and_deterministic(units):
     assert baseline.methods_checked == incremental.methods_checked
     assert baseline.statements_checked == incremental.statements_checked
     again = api.verify(
-        units["trees"], cache=None, budget=NO_BUDGET, incremental=True
+        units["trees"], options=api.VerifyOptions(cache=None, budget=NO_BUDGET)
     )
     assert _snapshot(incremental) == _snapshot(again)
 
@@ -119,8 +133,10 @@ static int g(Nat n) {
 }
 """
     unit = api.compile_program(source)
-    baseline = api.verify(unit, cache=None, incremental=False)
-    incremental = api.verify(unit, cache=None, incremental=True)
+    baseline = api.verify(
+        unit, options=api.VerifyOptions(cache=None, backend="reference")
+    )
+    incremental = api.verify(unit, options=api.VerifyOptions(cache=None))
     assert any(w.counterexample for w in baseline.diagnostics.warnings)
     assert _snapshot(baseline) == _snapshot(incremental)
 
@@ -128,15 +144,20 @@ static int g(Nat n) {
 def test_incremental_with_shared_cache_matches(units):
     """A warm shared cache does not perturb incremental verdicts."""
     cache = SolverCache()
-    cold = api.verify(units["nat"], cache=cache, incremental=True)
-    warm = api.verify(units["nat"], cache=cache, incremental=True)
-    baseline = api.verify(units["nat"], cache=None, incremental=False)
+    cold = api.verify(units["nat"], options=api.VerifyOptions(cache=cache))
+    warm = api.verify(units["nat"], options=api.VerifyOptions(cache=cache))
+    baseline = api.verify(
+        units["nat"],
+        options=api.VerifyOptions(
+            cache=None, backend="reference"
+        ),
+    )
     assert _snapshot(cold) == _snapshot(baseline)
     assert _snapshot(warm) == _snapshot(baseline)
 
 
 def test_incremental_repeat_runs_are_deterministic(units):
-    first = api.verify(units["cps"], cache=None, incremental=True)
-    second = api.verify(units["cps"], cache=None, incremental=True)
+    first = api.verify(units["cps"], options=api.VerifyOptions(cache=None))
+    second = api.verify(units["cps"], options=api.VerifyOptions(cache=None))
     assert _snapshot(first) == _snapshot(second)
     assert _verdicts(first) == _verdicts(second)
